@@ -142,42 +142,6 @@ fn bench_components(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Blocked batch-scan kernels over a 10k-row store: one pass over
-    // the rows serves the whole query block, vs one pass per query.
-    // The batch-64 entry times the *whole* block — divide by 64 for
-    // per-query cost.
-    {
-        use rand::RngExt;
-        use tlsfp_index::VectorIndex;
-        let (reference, _) = sized_reference(10_000);
-        let mut r = StdRng::seed_from_u64(11);
-        let queries: Vec<Vec<f32>> = (0..64)
-            .map(|_| (0..32).map(|_| r.random_range(-1.0..3.0)).collect())
-            .collect();
-        let flat = tlsfp_index::FlatIndex::from_rows(
-            tlsfp_core::knn::Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
-        );
-        let pq = tlsfp_index::PqIndex::build(
-            tlsfp_index::pq::PqParams::auto(),
-            tlsfp_core::knn::Metric::Euclidean,
-            reference.as_rows(),
-            reference.labels(),
-        );
-        let backends: [(&str, &dyn VectorIndex); 2] = [("flat", &flat), ("pq", &pq)];
-        for (name, index) in backends {
-            let mut group = c.benchmark_group(&format!("index/batch_scan/{name}"));
-            for &bs in &[1usize, 64] {
-                let block = &queries[..bs];
-                group.bench_with_input(BenchmarkId::from_parameter(bs), &bs, |b, _| {
-                    b.iter(|| std::hint::black_box(index.search_block(block, 50).len()))
-                });
-            }
-            group.finish();
-        }
-    }
 }
 
 criterion_group! {

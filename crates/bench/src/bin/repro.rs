@@ -5,7 +5,7 @@
 //!
 //! targets: fig6 fig7 table2 fig8 fig9 fig10 fig11 fig12 fig13 table3
 //!          fig_open_world fig_early fig_index fig_embed fig_shard
-//!          fig_quant fig_concurrent fig_telemetry fig_batchscan
+//!          fig_quant fig_concurrent fig_telemetry
 //!          ablations all
 //! ```
 
@@ -14,11 +14,11 @@ use std::path::PathBuf;
 
 use tlsfp_bench::ablations::{print_ablations, run_ablations};
 use tlsfp_bench::experiments::{
-    print_cdf, print_fig_batchscan, print_fig_concurrent, print_fig_early, print_fig_embed,
-    print_fig_index, print_fig_quant, print_fig_shard, print_fig_telemetry, print_open_world,
-    print_series, run_fig12_13, run_fig6, run_fig7, run_fig8, run_fig9_to_11, run_fig_batchscan,
-    run_fig_concurrent, run_fig_early, run_fig_embed, run_fig_index, run_fig_open_world,
-    run_fig_quant, run_fig_shard, run_fig_telemetry, run_table3, Scale,
+    print_cdf, print_fig_concurrent, print_fig_early, print_fig_embed, print_fig_index,
+    print_fig_quant, print_fig_shard, print_fig_telemetry, print_open_world, print_series,
+    run_fig12_13, run_fig6, run_fig7, run_fig8, run_fig9_to_11, run_fig_concurrent, run_fig_early,
+    run_fig_embed, run_fig_index, run_fig_open_world, run_fig_quant, run_fig_shard,
+    run_fig_telemetry, run_table3, Scale,
 };
 
 fn main() {
@@ -281,19 +281,6 @@ fn main() {
             print_fig_concurrent(p);
         }
         write_json("fig_concurrent", &result);
-    }
-
-    if run_all || target == "fig_batchscan" {
-        println!("\n=== Batch scan — blocked distance kernels vs the per-query loop ===");
-        let result = run_fig_batchscan(&scale);
-        println!(
-            "  k={} refs/class={} cores={}",
-            result.k, result.refs_per_class, result.available_cores
-        );
-        for p in &result.points {
-            print_fig_batchscan(p);
-        }
-        write_json("fig_batchscan", &result);
     }
 
     if run_all || target == "fig_telemetry" {

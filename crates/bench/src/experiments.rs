@@ -59,9 +59,6 @@ pub struct Scale {
     /// experiment (target regime: 10⁵ classes — the scale "Towards
     /// Fine-Grained Webpage Fingerprinting at Scale" reaches).
     pub quant_sweep: Vec<usize>,
-    /// Class counts (store sizes) swept by the `fig_batchscan`
-    /// blocked-kernel experiment.
-    pub batchscan_sweep: Vec<usize>,
     /// Trace fractions swept by the `fig_early` streaming experiment
     /// (each prefix decision consumes this share of the records; the
     /// runner always appends 1.0 for the full-trace anchor).
@@ -94,7 +91,6 @@ impl Scale {
             shard_sweep: vec![200, 800, 3200],
             concurrent_classes: 3200,
             quant_sweep: vec![10_000, 40_000, 100_000],
-            batchscan_sweep: vec![800, 3200],
             early_fractions: vec![0.1, 0.25, 0.5, 0.75, 1.0],
             seed: 7,
         }
@@ -112,7 +108,6 @@ impl Scale {
         s.shard_sweep = vec![1_000, 4_000, 13_000];
         s.concurrent_classes = 13_000;
         s.quant_sweep = vec![40_000, 100_000, 200_000];
-        s.batchscan_sweep = vec![4_000, 13_000];
         s.early_fractions = vec![0.05, 0.1, 0.2, 0.3, 0.5, 0.75, 1.0];
         s.pipeline.epochs = 60;
         s.pipeline.pairs_per_epoch = 4096;
@@ -133,7 +128,6 @@ impl Scale {
         s.shard_sweep = vec![40, 120];
         s.concurrent_classes = 200;
         s.quant_sweep = vec![60, 200];
-        s.batchscan_sweep = vec![40, 120];
         s.pipeline.epochs = 10;
         s.pipeline.pairs_per_epoch = 1024;
         s.pipeline_two_seq.epochs = 10;
@@ -1888,195 +1882,6 @@ pub fn run_fig_telemetry(scale: &Scale) -> FigTelemetryResult {
 }
 
 // ---------------------------------------------------------------------
-// fig_batchscan — query-blocked distance kernels vs the per-query
-// scan, on every index backend.
-// ---------------------------------------------------------------------
-
-/// Batch sizes swept by the fig_batchscan experiment.
-pub const FIG_BATCHSCAN_BATCH_SIZES: [usize; 4] = [1, 8, 64, 256];
-
-/// Backend names swept by fig_batchscan, in sweep order.
-pub const FIG_BATCHSCAN_BACKENDS: [&str; 3] = ["flat", "ivf", "pq"];
-
-/// One `(backend, store size, batch size)` cell of the fig_batchscan
-/// sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BatchScanPoint {
-    /// Index backend the store serves from.
-    pub backend: String,
-    /// Monitored classes in the synthetic store.
-    pub n_classes: usize,
-    /// Total reference vectors stored.
-    pub n_reference: usize,
-    /// Queries served per measured pass.
-    pub n_queries: usize,
-    /// Queries per `search_batch_concurrent` call.
-    pub batch_size: usize,
-    /// Throughput of the per-query loop (`search`, one query at a
-    /// time) — the pre-blocking baseline.
-    pub per_query_qps: f64,
-    /// Throughput of the blocked batch path at auto workers.
-    pub batched_qps: f64,
-    /// Throughput of the blocked batch path pinned to one worker —
-    /// isolates the cache-blocking gain from thread-level parallelism.
-    pub blocked_1worker_qps: f64,
-    /// `batched_qps / per_query_qps`.
-    pub batched_speedup: f64,
-    /// `blocked_1worker_qps / per_query_qps`.
-    pub blocked_1worker_speedup: f64,
-    /// Top-1 decisions (through the kNN rank path) identical to the
-    /// per-query loop.
-    pub decisions_identical: bool,
-    /// Every neighbor list, distance bit and eval count identical to
-    /// the per-query loop.
-    pub score_bits_identical: bool,
-}
-
-/// Result of the fig_batchscan run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FigBatchScanResult {
-    /// Neighbours retrieved per query.
-    pub k: usize,
-    /// Reference points per class.
-    pub refs_per_class: usize,
-    /// Cores the host reported — throughput ratios at auto workers are
-    /// only meaningful relative to this.
-    pub available_cores: usize,
-    /// One entry per `(store size, backend, batch size)` cell.
-    pub points: Vec<BatchScanPoint>,
-}
-
-/// Measures one backend at one store size: a single-shard store (so
-/// the batch front door routes straight into the backend's blocked
-/// kernel) served through the per-query loop and through
-/// `search_batch_concurrent` in `batch_size` chunks at auto workers
-/// and at one worker. Every batched pass is checked bit-identical to
-/// the per-query loop.
-pub fn run_batchscan_backend(
-    backend: &str,
-    config: &tlsfp_index::IndexConfig,
-    n_classes: usize,
-    seed: u64,
-) -> Vec<BatchScanPoint> {
-    use tlsfp_index::sharded::ShardedStore;
-    use tlsfp_index::{Metric, Rows, SearchResult, VectorIndex};
-    let dim = FIG_SHARD_DIM;
-    let per_class = FIG_SHARD_REFS_PER_CLASS;
-    let n_queries = n_classes.min(FIG_SHARD_MAX_QUERIES);
-    let (data, labels, queries) =
-        synthetic_store_corpus(n_classes, per_class, dim, n_queries, seed);
-    let store = ShardedStore::build(
-        config,
-        Metric::Euclidean,
-        Rows::new(dim, &data),
-        &labels,
-        n_classes,
-        1,
-    );
-
-    let best_of = |f: &mut dyn FnMut()| -> f64 {
-        f(); // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t = std::time::Instant::now();
-            f();
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let serial: Vec<SearchResult> = queries
-        .iter()
-        .map(|q| store.search(q, FIG_SHARD_K))
-        .collect();
-    let serial_top: Vec<Option<usize>> = serial
-        .iter()
-        .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-        .collect();
-    let serial_secs = best_of(&mut || {
-        for q in &queries {
-            std::hint::black_box(store.search(q, FIG_SHARD_K).neighbors.len());
-        }
-    });
-    let nq = queries.len().max(1) as f64;
-    let per_query_qps = nq / serial_secs.max(1e-12);
-
-    FIG_BATCHSCAN_BATCH_SIZES
-        .iter()
-        .map(|&bs| {
-            let run_chunked = |workers: usize| -> Vec<SearchResult> {
-                queries
-                    .chunks(bs)
-                    .flat_map(|c| store.search_batch_concurrent(c, FIG_SHARD_K, workers))
-                    .collect()
-            };
-            let batched_secs = best_of(&mut || {
-                for c in queries.chunks(bs) {
-                    std::hint::black_box(store.search_batch_concurrent(c, FIG_SHARD_K, 0).len());
-                }
-            });
-            let blocked_1worker_secs = best_of(&mut || {
-                for c in queries.chunks(bs) {
-                    std::hint::black_box(store.search_batch_concurrent(c, FIG_SHARD_K, 1).len());
-                }
-            });
-            let batched = run_chunked(0);
-            let batched_top: Vec<Option<usize>> = batched
-                .iter()
-                .map(|r| tlsfp_core::knn::rank_search(r.clone()).prediction.top())
-                .collect();
-            let batched_qps = nq / batched_secs.max(1e-12);
-            let blocked_1worker_qps = nq / blocked_1worker_secs.max(1e-12);
-            BatchScanPoint {
-                backend: backend.to_string(),
-                n_classes,
-                n_reference: store.len(),
-                n_queries: queries.len(),
-                batch_size: bs,
-                per_query_qps,
-                batched_qps,
-                blocked_1worker_qps,
-                batched_speedup: batched_qps / per_query_qps.max(1e-12),
-                blocked_1worker_speedup: blocked_1worker_qps / per_query_qps.max(1e-12),
-                decisions_identical: batched_top == serial_top,
-                score_bits_identical: batched == serial && run_chunked(1) == serial,
-            }
-        })
-        .collect()
-}
-
-/// Runs the blocked-kernel sweep over `Scale::batchscan_sweep` ×
-/// [`FIG_BATCHSCAN_BACKENDS`] × [`FIG_BATCHSCAN_BATCH_SIZES`] — the
-/// artifact trail for the batch-serving claim: one store scan
-/// amortized across the whole query block on every backend, with
-/// bit-identity to the per-query loop checked per cell.
-pub fn run_fig_batchscan(scale: &Scale) -> FigBatchScanResult {
-    use tlsfp_index::{IndexConfig, PqParams};
-    let mut points = Vec::new();
-    for &n_classes in &scale.batchscan_sweep {
-        let configs = [
-            ("flat", IndexConfig::Flat),
-            ("ivf", IndexConfig::ivf_default()),
-            ("pq", IndexConfig::Pq(PqParams::auto())),
-        ];
-        for (name, config) in &configs {
-            points.extend(run_batchscan_backend(
-                name,
-                config,
-                n_classes,
-                scale.seed + 100,
-            ));
-        }
-    }
-    FigBatchScanResult {
-        k: FIG_SHARD_K,
-        refs_per_class: FIG_SHARD_REFS_PER_CLASS,
-        available_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        points,
-    }
-}
-
-// ---------------------------------------------------------------------
 // fig_early — streaming early classification: accuracy and TPR/FPR vs
 // fraction of the trace consumed, plus time-to-decision under the
 // calibrated early-stop policy.
@@ -2539,25 +2344,6 @@ pub fn print_fig_concurrent(p: &ConcurrentPoint) {
         p.workers,
         p.queries_per_sec,
         p.speedup_vs_1,
-        p.decisions_identical,
-        p.score_bits_identical,
-    );
-}
-
-/// Prints one fig_batchscan sweep cell's summary row.
-pub fn print_fig_batchscan(p: &BatchScanPoint) {
-    println!(
-        "  {:<5} classes={:<6} n={:<6} batch={:<4} qps loop={:>9.0} blocked(w1)={:>9.0} batched={:>9.0}  \
-         speedup {:>5.2}x/{:>5.2}x  decisions-identical={} score-bits-identical={}",
-        p.backend,
-        p.n_classes,
-        p.n_reference,
-        p.batch_size,
-        p.per_query_qps,
-        p.blocked_1worker_qps,
-        p.batched_qps,
-        p.blocked_1worker_speedup,
-        p.batched_speedup,
         p.decisions_identical,
         p.score_bits_identical,
     );
@@ -3307,85 +3093,6 @@ mod tests {
             result.off_seconds,
             result.on_seconds
         );
-    }
-
-    /// Tier-1 batched-scan smoke: the experiment `repro fig_batchscan`
-    /// runs at smoke scale and covers the full backend × batch grid.
-    /// The bit-identity columns bind unconditionally — every batched
-    /// cell identical to the per-query loop at auto workers *and* one
-    /// worker. Throughput gates live in the tier-2 variant; at smoke
-    /// scale the stores are cache-resident and timing is noise.
-    #[test]
-    fn fig_batchscan_smoke_is_bit_identical_across_the_grid() {
-        let scale = Scale::smoke();
-        let result = run_fig_batchscan(&scale);
-        assert_eq!(
-            result.points.len(),
-            scale.batchscan_sweep.len()
-                * FIG_BATCHSCAN_BACKENDS.len()
-                * FIG_BATCHSCAN_BATCH_SIZES.len()
-        );
-        for (i, p) in result.points.iter().enumerate() {
-            let expected_backend =
-                FIG_BATCHSCAN_BACKENDS[(i / FIG_BATCHSCAN_BATCH_SIZES.len()) % 3];
-            assert_eq!(p.backend, expected_backend, "sweep order");
-            assert!(
-                p.decisions_identical,
-                "{} classes={} batch={}: decisions diverged from the per-query loop",
-                p.backend, p.n_classes, p.batch_size
-            );
-            assert!(
-                p.score_bits_identical,
-                "{} classes={} batch={}: score bits diverged from the per-query loop",
-                p.backend, p.n_classes, p.batch_size
-            );
-            assert!(p.per_query_qps > 0.0 && p.batched_qps > 0.0 && p.blocked_1worker_qps > 0.0);
-        }
-    }
-
-    #[test]
-    #[ignore = "tier-2: times the default-scale batched-scan sweep (~1 min); run with cargo test -- --ignored"]
-    fn fig_batchscan_gate_batch64_amortizes_at_default_scale() {
-        let result = run_fig_batchscan(&Scale::default_scale());
-        for p in &result.points {
-            assert!(
-                p.decisions_identical && p.score_bits_identical,
-                "{} classes={} batch={}",
-                p.backend,
-                p.n_classes,
-                p.batch_size
-            );
-        }
-        // The acceptance bar: flat at batch 64 on the largest store
-        // serves ≥ 1.5x the per-query loop. Only binds where the
-        // silicon can express it — single-core hosts still prove the
-        // identity columns above.
-        if result.available_cores >= 4 {
-            let biggest = result
-                .points
-                .iter()
-                .map(|p| p.n_classes)
-                .max()
-                .expect("non-empty sweep");
-            let p = result
-                .points
-                .iter()
-                .find(|p| p.backend == "flat" && p.batch_size == 64 && p.n_classes == biggest)
-                .expect("flat batch-64 cell in sweep");
-            assert!(
-                p.batched_speedup >= 1.5,
-                "flat batch-64 only {:.2}x over the per-query loop on a {}-core host \
-                 (loop {:.0} qps, batched {:.0} qps)",
-                p.batched_speedup,
-                result.available_cores,
-                p.per_query_qps,
-                p.batched_qps
-            );
-        }
-        // The repro --json artifact round-trips.
-        let json = serde_json::to_string(&result).expect("serializable");
-        let back: FigBatchScanResult = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, result);
     }
 
     #[test]

@@ -21,10 +21,6 @@ fn baseline_covers_the_headline_benches() {
         "nn/embed_batch/64",
         "core/knn_query/10000",
         "core/ivf_query/10000",
-        "index/batch_scan/flat/1",
-        "index/batch_scan/flat/64",
-        "index/batch_scan/pq/1",
-        "index/batch_scan/pq/64",
     ] {
         let entry = benches
             .get(name)
@@ -75,41 +71,5 @@ fn baseline_batched_embedding_amortizes() {
     assert!(
         batch64 < 0.75 * single,
         "batched per-trace cost {batch64:.0}ns does not amortize vs single {single:.0}ns"
-    );
-}
-
-#[test]
-fn baseline_blocked_scan_amortizes_at_batch_64() {
-    // The committed numbers must tell the story the blocked kernels
-    // shipped. Comparisons use min_ns — the whole-block entries are
-    // long enough that scheduler bursts land inside single samples and
-    // distort the mean on a shared 1-core pin.
-    let root = baseline();
-    let benches = root.get("benches").expect("benches object");
-    let min = |name: &str| -> f64 {
-        match benches.get(name).and_then(|e| e.get("min_ns")) {
-            Some(Value::Int(v)) => *v as f64,
-            Some(Value::Float(v)) => *v,
-            other => panic!("{name}: bad min_ns {other:?}"),
-        }
-    };
-    // PQ amortizes per query at batch 64: the block shares one pass
-    // over the code array and its scratch (per-query LUTs, heaps) is
-    // allocated once per block instead of once per query.
-    let pq_single = min("index/batch_scan/pq/1");
-    let pq_batch64 = min("index/batch_scan/pq/64") / 64.0;
-    assert!(
-        pq_batch64 < 0.9 * pq_single,
-        "blocked PQ per-query cost {pq_batch64:.0}ns does not amortize vs single {pq_single:.0}ns"
-    );
-    // Flat is compute-bound at the paper's 32-dim embeddings, so
-    // single-threaded blocking holds parity (its batch win comes from
-    // worker parallelism over query blocks — gated in fig_batchscan);
-    // the guard pins that blocking never *costs* the serial path.
-    let flat_single = min("index/batch_scan/flat/1");
-    let flat_batch64 = min("index/batch_scan/flat/64") / 64.0;
-    assert!(
-        flat_batch64 < 1.25 * flat_single,
-        "blocked flat per-query cost {flat_batch64:.0}ns regressed vs single {flat_single:.0}ns"
     );
 }

@@ -59,14 +59,6 @@ pub struct PipelineConfig {
     /// shard-major fan-out and ordered-commit merge guarantee it (see
     /// the `tlsfp_index::sharded` module docs).
     pub query_workers: usize,
-    /// Queries per blocked-scan block on the batch query paths (`0` =
-    /// auto: the batch split evenly across the query workers, capped at
-    /// 64). Each block shares one pass over every shard's rows — the
-    /// cache-blocked scan kernels — so larger blocks amortize memory
-    /// bandwidth, smaller blocks expose more parallelism. Results are
-    /// **bit-identical at every value**; the knob only moves the
-    /// amortization/parallelism trade-off.
-    pub query_block: usize,
     /// Nearest-neighbor index backend each shard serves from. The
     /// default [`IndexConfig::Flat`] keeps every decision bit-identical
     /// to an exhaustive reference scan; [`IndexConfig::ivf_default`]
@@ -88,13 +80,6 @@ pub struct PipelineConfig {
     /// embeddings at the k-th neighbor boundary — see the
     /// `tlsfp_index::sharded` module docs).
     pub shards: usize,
-    /// Whether runtime telemetry recording is on. Applied process-wide
-    /// at provisioning time (`tlsfp_telemetry::set_enabled` — the
-    /// registry is one per process, like the thread pool). Telemetry
-    /// is a pure observer either way: decisions, score bits and
-    /// serialized snapshots are bit-identical with it on or off; the
-    /// knob only controls whether counters/gauges/histograms record.
-    pub telemetry: bool,
 }
 
 impl PipelineConfig {
@@ -113,10 +98,8 @@ impl PipelineConfig {
             k: 250,
             threads: 0,
             query_workers: 0,
-            query_block: 0,
             index: IndexConfig::Flat,
             shards: 1,
-            telemetry: true,
         }
     }
 
@@ -142,10 +125,8 @@ impl PipelineConfig {
             k: 15,
             threads: 0,
             query_workers: 0,
-            query_block: 0,
             index: IndexConfig::Flat,
             shards: 1,
-            telemetry: true,
         }
     }
 
@@ -179,10 +160,6 @@ pub struct AdaptiveFingerprinter {
     /// Worker-pool size for the concurrent shard fan-out on the query
     /// paths (`0` = auto). Never changes a decision.
     query_workers: usize,
-    /// Queries per blocked-scan block on the batch query paths
-    /// (`0` = auto). Mirrored into the store on every rebuild. Never
-    /// changes a decision.
-    query_block: usize,
     log: TrainingLog,
     /// The per-shard index backend (mirrors `PipelineConfig::index`).
     index_config: IndexConfig,
@@ -212,7 +189,6 @@ impl AdaptiveFingerprinter {
                 config.embedder.input_size
             )));
         }
-        tlsfp_telemetry::set_enabled(config.telemetry);
         let mut embedder = SequenceEmbedder::new(config.embedder.clone(), seed)?;
         let log = train_embedder(&mut embedder, train, config, seed)?;
 
@@ -230,7 +206,6 @@ impl AdaptiveFingerprinter {
             knn,
             threads: config.threads,
             query_workers: config.query_workers,
-            query_block: config.query_block,
             log,
             index_config: config.index,
             shards: config.shards,
@@ -251,7 +226,6 @@ impl AdaptiveFingerprinter {
             knn,
             threads,
             query_workers: 0,
-            query_block: 0,
             log: TrainingLog {
                 epoch_losses: Vec::new(),
                 train_seconds: 0.0,
@@ -343,22 +317,6 @@ impl AdaptiveFingerprinter {
         self.query_workers
     }
 
-    /// Sets the query-block knob for the blocked batch scans
-    /// (`0` = auto: the batch split evenly across the query workers,
-    /// capped at `tlsfp_index::MAX_QUERY_BLOCK`). Applied to the
-    /// current store and remembered for every future rebuild. Results
-    /// are **bit-identical** at every value; only wall-clock time
-    /// changes.
-    pub fn set_query_block(&mut self, query_block: usize) {
-        self.query_block = query_block;
-        self.store.set_query_block(query_block);
-    }
-
-    /// The configured query-block size (`0` = auto).
-    pub fn query_block(&self) -> usize {
-        self.query_block
-    }
-
     /// Replaces the whole reference store with embeddings of `data`
     /// (initialization, step 2 of Figure 2). The label space becomes
     /// `data.n_classes()`, the shard count re-resolves against it, and
@@ -386,7 +344,6 @@ impl AdaptiveFingerprinter {
             data.n_classes(),
             self.shards,
         );
-        store.set_query_block(self.query_block);
         if store.n_shards() == 1 {
             // Single shard: embed the corpus in one pass and load it in
             // dataset order — exactly the historical unsharded path,
@@ -1035,6 +992,21 @@ mod tests {
         let back = AdaptiveFingerprinter::from_json(&json).unwrap();
         let trace = &ds.seqs()[0];
         assert_eq!(fp.fingerprint(trace), back.fingerprint(trace));
+
+        // A deployment saved while it still carried the retired
+        // `query_block` and `telemetry` knobs loads and serves
+        // identically.
+        assert!(json.contains(r#""store":{"#));
+        let legacy = json
+            .replacen('{', r#"{"query_block":0,"telemetry":true,"#, 1)
+            .replacen(r#""store":{"#, r#""store":{"query_block":16,"#, 1);
+        let old = AdaptiveFingerprinter::from_json(&legacy).unwrap();
+        for trace in ds.seqs().iter().take(8) {
+            assert_eq!(
+                fp.fingerprint_with_score(trace),
+                old.fingerprint_with_score(trace)
+            );
+        }
     }
 
     #[test]

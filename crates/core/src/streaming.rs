@@ -23,7 +23,7 @@
 //! order) to the batch [`AdaptiveFingerprinter::fingerprint_with_score`]
 //! of the completed trace. [`AdaptiveFingerprinter::finish`] /
 //! [`AdaptiveFingerprinter::finish_all`] route the accumulated capture
-//! through the existing batched embed + sharded blocked-scan path, so
+//! through the existing batched embed + sharded fan-out path, so
 //! finished sessions are bit-identical to
 //! [`AdaptiveFingerprinter::fingerprint_all`] by construction. The
 //! proptest battery in `tests/streaming_props.rs` pins all of this
@@ -436,7 +436,7 @@ impl AdaptiveFingerprinter {
     }
 
     /// Settles many sessions at once through the batched embed + sharded
-    /// blocked-scan path ([`AdaptiveFingerprinter::embed_all`] +
+    /// fan-out path ([`AdaptiveFingerprinter::embed_all`] +
     /// `ShardedStore::search_batch_concurrent`) — the exact calls behind
     /// [`AdaptiveFingerprinter::fingerprint_all`], so results are
     /// bit-identical to it at every worker count.

@@ -51,13 +51,11 @@ pub struct FlatIndex {
 /// (boundary ties keep the earlier-scanned row). The `id`/`label`
 /// payload never participates in comparisons, so heap layout and
 /// iteration order replay the pre-index implementation exactly.
-/// Crate-visible so the blocked kernel ([`crate::kernels`]) can replay
-/// the same comparison sequence per query.
 #[derive(PartialEq)]
-pub(crate) struct FlatHeapEntry {
-    pub(crate) dist: f32,
-    pub(crate) id: u64,
-    pub(crate) label: usize,
+struct FlatHeapEntry {
+    dist: f32,
+    id: u64,
+    label: usize,
 }
 
 impl Eq for FlatHeapEntry {}
@@ -190,20 +188,6 @@ impl VectorIndex for FlatIndex {
         let result = flat_search(self.rows(), &self.labels, self.metric, query, k);
         crate::record_backend_search!("flat", result);
         result
-    }
-
-    /// The blocked exact scan ([`crate::kernels::flat_search_block`]):
-    /// each row tile is loaded once per block and evaluated against
-    /// every query while hot in cache. Per query, bit-identical to
-    /// [`FlatIndex::search`] — heap output order included.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        let results =
-            crate::kernels::flat_search_block(self.rows(), &self.labels, self.metric, queries, k);
-        crate::kernels::record_block_size!("flat", queries.len());
-        for result in &results {
-            crate::record_backend_search!("flat", result);
-        }
-        results
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {

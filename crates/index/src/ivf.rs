@@ -421,121 +421,6 @@ impl VectorIndex for IvfIndex {
         result
     }
 
-    /// Shared-probe blocked scan: each query ranks the centroids
-    /// exactly as [`IvfIndex::search`] does, then queries subscribing
-    /// to the same inverted list scan it *together*, tile by tile, so
-    /// a hot list's rows are loaded once per block instead of once per
-    /// subscriber. Selection goes through the same `(dist, id)`-ordered
-    /// bounded heap per query; because that order is total and ids are
-    /// distinct, the selected set — and the `into_sorted_vec` output —
-    /// is independent of the order lists are visited in, so results
-    /// are bit-identical to the per-query path (eval counts included:
-    /// every centroid plus every row of the query's probed lists).
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        let total = self.len();
-        let nq = queries.len();
-        if total == 0 {
-            return vec![SearchResult::empty(); nq];
-        }
-        if nq == 0 {
-            return Vec::new();
-        }
-        let dim = self.dim.max(1);
-        let k = k.min(total).max(1);
-
-        // Per-query centroid ranking (identical to the serial path),
-        // inverted into per-list subscriber sets. Subscribers are
-        // pushed in ascending query order, so the scan below is
-        // deterministic; per-query results don't depend on it anyway.
-        let mut evals = vec![0u64; nq];
-        let mut probes = vec![0usize; nq];
-        let mut subscribers: Vec<Vec<usize>> = vec![Vec::new(); self.lists.len()];
-        for (qi, query) in queries.iter().enumerate() {
-            let mut ranked: Vec<(f32, usize)> = self
-                .centroids
-                .chunks_exact(dim)
-                .enumerate()
-                .map(|(ci, centroid)| {
-                    evals[qi] += 1;
-                    (self.metric.eval(query, centroid), ci)
-                })
-                .collect();
-            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-            let probe = self.n_probe.min(ranked.len());
-            probes[qi] = probe;
-            for &(_, li) in &ranked[..probe] {
-                subscribers[li].push(qi);
-            }
-        }
-
-        let mut heaps: Vec<BinaryHeap<SelectEntry>> =
-            (0..nq).map(|_| BinaryHeap::with_capacity(k + 1)).collect();
-        let mut nearest = vec![f32::INFINITY; nq];
-        let tile = crate::flat::SCAN_CHUNK_ROWS * dim;
-        for (li, subs) in subscribers.iter().enumerate() {
-            if subs.is_empty() {
-                continue;
-            }
-            let list = &self.lists[li];
-            for (ti, chunk) in list.data.chunks(tile).enumerate() {
-                let base = ti * crate::flat::SCAN_CHUNK_ROWS;
-                for &qi in subs {
-                    let query = &queries[qi];
-                    let heap = &mut heaps[qi];
-                    for (off, row) in chunk.chunks_exact(dim).enumerate() {
-                        let j = base + off;
-                        let dist = self.metric.eval(query, row);
-                        evals[qi] += 1;
-                        nearest[qi] = nearest[qi].min(dist);
-                        let entry = SelectEntry {
-                            dist,
-                            id: list.ids[j],
-                            label: list.labels[j],
-                        };
-                        if heap.len() < k {
-                            heap.push(entry);
-                        } else if let Some(worst) = heap.peek() {
-                            if entry < *worst {
-                                heap.pop();
-                                heap.push(entry);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        crate::kernels::record_block_size!("ivf", nq);
-        heaps
-            .into_iter()
-            .enumerate()
-            .map(|(qi, heap)| {
-                let result = SearchResult {
-                    neighbors: heap
-                        .into_sorted_vec()
-                        .into_iter()
-                        .map(|e| Neighbor {
-                            id: e.id,
-                            label: e.label,
-                            dist: e.dist,
-                        })
-                        .collect(),
-                    nearest: nearest[qi],
-                    distance_evals: evals[qi],
-                };
-                crate::record_backend_search!("ivf", result);
-                if tlsfp_telemetry::enabled() {
-                    tlsfp_telemetry::histogram!(
-                        "tlsfp_ivf_probes",
-                        "Inverted lists probed per IVF query"
-                    )
-                    .observe(probes[qi] as u64);
-                }
-                result
-            })
-            .collect()
-    }
-
     fn add(&mut self, label: usize, vector: &[f32]) {
         assert_eq!(vector.len(), self.dim, "vector dim mismatch");
         let li = self.nearest_centroid(vector);

@@ -76,13 +76,11 @@ pub(crate) use record_backend_search;
 
 pub mod flat;
 pub mod ivf;
-pub mod kernels;
 pub mod pq;
 pub mod sharded;
 
 pub use flat::FlatIndex;
 pub use ivf::{BalanceStats, IvfIndex, IvfParams};
-pub use kernels::{resolve_query_block, MAX_QUERY_BLOCK};
 pub use pq::{PqIndex, PqParams};
 pub use sharded::{resolve_shards, shard_of, ShardedStore, StoreBalance};
 
@@ -188,10 +186,13 @@ impl SearchResult {
 
 /// A mutable nearest-neighbor index over labeled vectors.
 ///
-/// Implementations must be deterministic: the same build inputs and
-/// mutation sequence yield the same search results, independent of
-/// thread count ([`VectorIndex::search_batch`] shards *queries*, never
-/// a single query's scan).
+/// Two query methods: [`VectorIndex::search`], the one scan each
+/// backend implements, and [`VectorIndex::search_batch`], which fans
+/// that scan out over a batch of queries ([`ShardedStore`] overrides it
+/// with its shard × query-chunk fan-out). Implementations must be
+/// deterministic: the same build inputs and mutation sequence yield the
+/// same search results, independent of thread count (a batch shards
+/// *queries*, never a single query's scan).
 ///
 /// The backends share this mutation contract (the paper's adaptation
 /// economics — no rebuilds on churn):
@@ -224,55 +225,12 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
     /// Finds the `k` nearest stored vectors to `query`.
     fn search(&self, query: &[f32], k: usize) -> SearchResult;
 
-    /// Serves one contiguous *block* of queries in a single scan pass —
-    /// the cache-blocked kernel unit (see [`kernels`]). Runs on the
-    /// calling thread; [`VectorIndex::search_batch_blocked`] shards
-    /// blocks across workers. Each query's result must be
-    /// **bit-identical** to [`VectorIndex::search`] — the default is
-    /// the per-query loop itself; backends override it with a blocked
-    /// scan that preserves per-(query, row) accumulation order.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        queries.iter().map(|q| self.search(q, k)).collect()
-    }
-
-    /// Query-blocked batch search: splits `queries` into contiguous
-    /// blocks of `query_block` (`0` = auto — the batch split evenly
-    /// across the worker pool, capped at
-    /// [`kernels::MAX_QUERY_BLOCK`]), fans the blocks across `threads`
-    /// workers (`0` = all cores), and serves each block through one
-    /// [`VectorIndex::search_block`] scan pass. Results are
-    /// bit-identical to the per-query loop at every block size and
-    /// worker count: blocks are contiguous and order-preserving, and a
-    /// single query's scan never splits across threads.
-    fn search_batch_blocked(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        query_block: usize,
-    ) -> Vec<SearchResult> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let threads = if threads == 0 {
-            tlsfp_nn::parallel::default_threads()
-        } else {
-            threads
-        };
-        let block = kernels::resolve_query_block(query_block, queries.len(), threads);
-        let blocks: Vec<&[Vec<f32>]> = queries.chunks(block).collect();
-        map_elems(&blocks, threads, |b| self.search_block(b, k))
-            .into_iter()
-            .flatten()
-            .collect()
-    }
-
-    /// Thread-sharded batch search: routes through
-    /// [`VectorIndex::search_batch_blocked`] at the auto block size,
-    /// so every batch caller gets the cache-blocked scan. Each query's
-    /// result is identical to [`VectorIndex::search`].
+    /// Thread-sharded batch search: one [`VectorIndex::search`] per
+    /// query, fanned across `threads` workers (`0` = all cores). Each
+    /// query's result is identical to [`VectorIndex::search`]: a single
+    /// query's scan never splits across threads.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
-        self.search_batch_blocked(queries, k, threads, 0)
+        map_elems(queries, resolve_workers(threads), |q| self.search(q, k))
     }
 
     /// Adds one labeled vector, assigning it the next insertion id.
@@ -311,6 +269,17 @@ pub trait VectorIndex: Send + Sync + std::fmt::Debug {
 
     /// Clones the index behind a fresh box.
     fn boxed_clone(&self) -> Box<dyn VectorIndex>;
+}
+
+/// Resolves a query worker-count knob: `0` means auto
+/// ([`tlsfp_nn::parallel::default_threads`], which honors
+/// `TLSFP_THREADS`); any explicit value is used as-is.
+pub(crate) fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
+        tlsfp_nn::parallel::default_threads()
+    } else {
+        requested
+    }
 }
 
 /// Which backend a deployment should serve from.

@@ -372,125 +372,6 @@ impl VectorIndex for PqIndex {
         result
     }
 
-    /// Blocked ADC scan: all Q lookup tables are built up front, then
-    /// one pass over the code array serves every query in the block —
-    /// each [`crate::flat::SCAN_CHUNK_ROWS`]-vector code tile (the u8
-    /// codes are the smallest, most reusable payload in the store) is
-    /// loaded once per block instead of once per query. Per query the
-    /// LUT fill order, the ADC accumulation order (fixed sub-space
-    /// order per vector), the `(dist, id)`-ordered candidate heap, and
-    /// the exact re-rank are all identical to [`PqIndex::search`], and
-    /// the heap's selected set is insertion-order-independent, so
-    /// results are bit-identical to the per-query path.
-    fn search_block(&self, queries: &[Vec<f32>], k: usize) -> Vec<SearchResult> {
-        let n = self.len();
-        let nq = queries.len();
-        if n == 0 {
-            return vec![SearchResult::empty(); nq];
-        }
-        if nq == 0 {
-            return Vec::new();
-        }
-        let k = k.min(n).max(1);
-        let depth = self.rerank.max(k).min(n);
-        let mut evals = vec![0u64; nq];
-
-        // Phase 1: every query's ADC lookup table, built exactly as the
-        // serial path builds its single table.
-        let lut_len = self.m * self.ksub;
-        let mut luts = vec![0.0f32; nq * lut_len];
-        if self.sub_dim > 0 {
-            for (qi, query) in queries.iter().enumerate() {
-                let lut = &mut luts[qi * lut_len..(qi + 1) * lut_len];
-                for (j, lut_j) in lut.chunks_exact_mut(self.ksub).enumerate() {
-                    let sv = &query[j * self.sub_dim..(j + 1) * self.sub_dim];
-                    let cb = &self.codebooks
-                        [j * self.ksub * self.sub_dim..(j + 1) * self.ksub * self.sub_dim];
-                    for (cell, centroid) in lut_j.iter_mut().zip(cb.chunks_exact(self.sub_dim)) {
-                        *cell = euclidean_sq(sv, centroid);
-                        evals[qi] += 1;
-                    }
-                }
-            }
-        }
-
-        // Phase 2: one tiled pass over the codes serving all queries.
-        let mut heaps: Vec<BinaryHeap<SelectEntry>> = (0..nq)
-            .map(|_| BinaryHeap::with_capacity(depth + 1))
-            .collect();
-        let tile = crate::flat::SCAN_CHUNK_ROWS * self.m;
-        for (ti, chunk) in self.codes.chunks(tile).enumerate() {
-            let base = ti * crate::flat::SCAN_CHUNK_ROWS;
-            for (qi, heap) in heaps.iter_mut().enumerate() {
-                let lut = &luts[qi * lut_len..(qi + 1) * lut_len];
-                for (off, code) in chunk.chunks_exact(self.m).enumerate() {
-                    let pos = base + off;
-                    let mut approx = 0.0f32;
-                    for (j, &c) in code.iter().enumerate() {
-                        approx += lut[j * self.ksub + c as usize];
-                    }
-                    let entry = SelectEntry {
-                        dist: approx,
-                        id: pos as u64,
-                        label: self.labels[pos],
-                    };
-                    if heap.len() < depth {
-                        heap.push(entry);
-                    } else if let Some(worst) = heap.peek() {
-                        if entry.cmp(worst).is_lt() {
-                            heap.pop();
-                            heap.push(entry);
-                        }
-                    }
-                }
-            }
-        }
-
-        // Phase 3: per-query exact re-rank, identical to the serial path.
-        crate::kernels::record_block_size!("pq", nq);
-        heaps
-            .into_iter()
-            .enumerate()
-            .map(|(qi, heap)| {
-                let query = &queries[qi];
-                let mut reranked: Vec<Neighbor> = Vec::with_capacity(depth);
-                for entry in heap.into_sorted_vec() {
-                    let pos = entry.id as usize;
-                    let row = &self.data[pos * self.dim..(pos + 1) * self.dim];
-                    let dist = self.metric.eval(query, row);
-                    evals[qi] += 1;
-                    reranked.push(Neighbor {
-                        id: self.ids[pos],
-                        label: self.labels[pos],
-                        dist,
-                    });
-                }
-                reranked.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-                let nearest = reranked.first().map_or(f32::INFINITY, |top| top.dist);
-                reranked.truncate(k);
-                let result = SearchResult {
-                    neighbors: reranked,
-                    nearest,
-                    distance_evals: evals[qi],
-                };
-                crate::record_backend_search!("pq", result);
-                if tlsfp_telemetry::enabled() {
-                    tlsfp_telemetry::counter!(
-                        "tlsfp_pq_adc_table_builds_total",
-                        "Per-query ADC lookup tables built"
-                    )
-                    .inc();
-                    tlsfp_telemetry::histogram!(
-                        "tlsfp_pq_rerank_depth",
-                        "Exact re-rank candidates per PQ query"
-                    )
-                    .observe(depth as u64);
-                }
-                result
-            })
-            .collect()
-    }
-
     fn add(&mut self, label: usize, vector: &[f32]) {
         assert_eq!(vector.len(), self.dim, "vector dim mismatch");
         self.encode_into(vector);

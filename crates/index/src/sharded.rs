@@ -57,14 +57,16 @@
 //!    use no locks at all. With no thread ever waiting on a second
 //!    lock, a cycle in the wait-for graph — the precondition for
 //!    deadlock — cannot form.
-//! 2. **(Shard × query-block) fan-out.** [`ShardedStore::search_batch_concurrent`]
-//!    hands each worker a *(shard, query-block)* pair: the worker
-//!    read-locks its shard once, runs one contiguous block of queries
-//!    against it through the blocked scan kernel
-//!    ([`VectorIndex::search_block`]), and releases. One query's scan
-//!    is never split across threads, so no floating-point reduction
-//!    ever changes order — blocking only decides *which* queries share
-//!    a worker's row loads.
+//! 2. **(Shard × query chunk) fan-out.** Every query path — one query
+//!    or a batch, trait or concurrent front door — runs through one
+//!    fan-out. The batch is cut into contiguous chunks of
+//!    `⌈batch / workers⌉` queries (computed, never configured), and
+//!    each *(shard, chunk)* pair is one worker task: the worker
+//!    read-locks its shard once, calls the backend's
+//!    [`VectorIndex::search`] for each query of the chunk, and
+//!    releases. A single query is one chunk, so it fans out as `S`
+//!    tasks. One query's scan is never split across threads, so no
+//!    floating-point reduction ever changes order.
 //! 3. **Ordered commit.** Workers finish in any order, but per-shard
 //!    results are merged strictly in shard order (ids remapped, then
 //!    one sort under `(dist, global id)`), so the merged neighbor
@@ -73,8 +75,8 @@
 //!
 //! The store implements [`VectorIndex`], so the whole serving path
 //! (`tlsfp-core`'s classify/fingerprint/open-world calls) runs through
-//! it unchanged — [`VectorIndex::search_batch`] routes to the
-//! concurrent shard-major fan-out automatically.
+//! it unchanged — [`VectorIndex::search`] is the fan-out at one worker
+//! and [`VectorIndex::search_batch`] the fan-out at `threads` workers.
 
 use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -119,17 +121,6 @@ pub fn shard_of(class: usize, n_shards: usize) -> usize {
 pub fn resolve_shards(requested: usize, n_classes: usize) -> usize {
     if requested == 0 {
         ((n_classes as f64).sqrt().ceil() as usize).max(1)
-    } else {
-        requested
-    }
-}
-
-/// Resolves the worker-count knob for the concurrent query paths:
-/// `0` means auto ([`tlsfp_nn::parallel::default_threads`], which
-/// honors `TLSFP_THREADS`); any explicit value is used as-is.
-fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
-        tlsfp_nn::parallel::default_threads()
     } else {
         requested
     }
@@ -292,9 +283,6 @@ pub struct ShardedStore {
     dim: usize,
     metric: Metric,
     config: IndexConfig,
-    /// Queries per blocked-scan block on the batch paths (`0` = auto;
-    /// see [`crate::kernels::resolve_query_block`]).
-    query_block: usize,
     n_classes: AtomicUsize,
     shards: Vec<RwLock<StoreShard>>,
     /// Gauge handles only — never serialized, never compared.
@@ -307,7 +295,6 @@ impl Clone for ShardedStore {
             dim: self.dim,
             metric: self.metric,
             config: self.config,
-            query_block: self.query_block,
             n_classes: AtomicUsize::new(self.n_classes()),
             shards: (0..self.shards.len())
                 .map(|s| RwLock::new(self.read_shard(s).clone()))
@@ -322,7 +309,6 @@ impl PartialEq for ShardedStore {
         self.dim == other.dim
             && self.metric == other.metric
             && self.config == other.config
-            && self.query_block == other.query_block
             && self.n_classes() == other.n_classes()
             && self.shards.len() == other.shards.len()
             && (0..self.shards.len()).all(|s| *self.read_shard(s) == *other.read_shard(s))
@@ -336,7 +322,6 @@ impl Serialize for ShardedStore {
             ("dim".to_string(), self.dim.to_value()),
             ("metric".to_string(), self.metric.to_value()),
             ("config".to_string(), self.config.to_value()),
-            ("query_block".to_string(), self.query_block.to_value()),
             ("n_classes".to_string(), self.n_classes().to_value()),
             (
                 "shards".to_string(),
@@ -350,29 +335,60 @@ impl Serialize for ShardedStore {
     }
 }
 
+/// Deserializing checks the invariants every query and mutation path
+/// relies on, so a malformed snapshot is an `Err` at load time rather
+/// than a panic or a silent misroute at query time: at least one
+/// shard; per shard, `labels.len() * dim` row floats, every label
+/// routed to that shard (`label % S == s`) and inside the label space
+/// (`label < n_classes`), and an index holding exactly those rows at
+/// the store's dimension. Unknown keys, such as those of retired
+/// knobs, are ignored, so older snapshots still load.
 impl Deserialize for ShardedStore {
     fn from_value(v: &serde::json::Value) -> Result<Self, serde::json::Error> {
         let pairs = v
             .as_object()
             .ok_or_else(|| serde::json::Error::custom("ShardedStore: expected object"))?;
+        let dim: usize = serde::json::field(pairs, "dim")?;
+        let n_classes: usize = serde::json::field(pairs, "n_classes")?;
         let shards: Vec<StoreShard> = serde::json::field(pairs, "shards")?;
-        let telemetry = StoreTelemetry::new(shards.len());
-        // Tolerant lookup: snapshots written before the knob existed
-        // simply keep the auto behavior.
-        let query_block = pairs
-            .iter()
-            .find(|(key, _)| key.as_str() == "query_block")
-            .map(|(_, v)| usize::from_value(v))
-            .transpose()?
-            .unwrap_or(0);
+        let bad = |msg: String| Err(serde::json::Error::custom(format!("ShardedStore: {msg}")));
+        if shards.is_empty() {
+            return bad("no shards".into());
+        }
+        let n_shards = shards.len();
+        for (s, shard) in shards.iter().enumerate() {
+            let rows = shard.labels.len();
+            if rows.checked_mul(dim) != Some(shard.data.len()) {
+                return bad(format!(
+                    "shard {s} holds {} floats for {rows} rows of dim {dim}",
+                    shard.data.len()
+                ));
+            }
+            if let Some(&label) = shard
+                .labels
+                .iter()
+                .find(|&&l| l >= n_classes || shard_of(l, n_shards) != s)
+            {
+                return bad(format!(
+                    "shard {s} holds class {label}, which {n_classes} classes over {n_shards} shards do not route there"
+                ));
+            }
+            let index = shard.index.0.as_dyn();
+            if index.len() != rows || index.dim() != dim {
+                return bad(format!(
+                    "shard {s} index holds {} rows of dim {}, expected {rows} of dim {dim}",
+                    index.len(),
+                    index.dim()
+                ));
+            }
+        }
         Ok(ShardedStore {
-            dim: serde::json::field(pairs, "dim")?,
+            dim,
             metric: serde::json::field(pairs, "metric")?,
             config: serde::json::field(pairs, "config")?,
-            query_block,
-            n_classes: AtomicUsize::new(serde::json::field(pairs, "n_classes")?),
+            n_classes: AtomicUsize::new(n_classes),
+            telemetry: StoreTelemetry::new(n_shards),
             shards: shards.into_iter().map(RwLock::new).collect(),
-            telemetry,
         })
     }
 }
@@ -397,7 +413,6 @@ impl ShardedStore {
             dim,
             metric,
             config: *config,
-            query_block: 0,
             n_classes: AtomicUsize::new(n_classes),
             shards: (0..n_shards)
                 .map(|_| RwLock::new(StoreShard::empty(dim, metric, config)))
@@ -521,20 +536,6 @@ impl ShardedStore {
     /// The per-shard index backend in use.
     pub fn index_config(&self) -> IndexConfig {
         self.config
-    }
-
-    /// The query-block knob the batch paths scan with (`0` = auto:
-    /// batch split evenly across workers, capped at
-    /// [`crate::MAX_QUERY_BLOCK`]).
-    pub fn query_block(&self) -> usize {
-        self.query_block
-    }
-
-    /// Sets the query-block knob. Results are bit-identical at every
-    /// value — the knob only moves the cache-amortization /
-    /// parallelism trade-off.
-    pub fn set_query_block(&mut self, query_block: usize) {
-        self.query_block = query_block;
     }
 
     /// The shard owning `class` under this store's partitioning.
@@ -987,32 +988,37 @@ impl ShardedStore {
     /// into the global space, folds `nearest` and the eval counter in
     /// that fixed order, then sorts once under the `(dist, global id)`
     /// tie-break and truncates to `k`. Bit-identical output for every
-    /// worker count by construction.
+    /// worker count by construction. A single shard's result is
+    /// returned unchanged (its global ids equal its local ids), which
+    /// keeps `S = 1` bit-identical to the bare backend, heap order
+    /// included.
     ///
     /// This is also where the `backend="sharded"` query/eval counters
-    /// record for multi-shard stores. The single-shard fast paths
-    /// return the inner backend's result untouched but record the same
-    /// `sharded` counters themselves, so the store's front-door totals
+    /// record, on every shard count, so the store's front-door totals
     /// are shard-count-independent (the inner backend's own counters
-    /// advance too, as on every path).
-    fn merge_shard_results(&self, per_shard: Vec<SearchResult>, k: usize) -> SearchResult {
-        let mut merged: Vec<Neighbor> = Vec::with_capacity(k * 2);
-        let mut nearest = f32::INFINITY;
-        let mut evals = 0u64;
-        for (s, r) in per_shard.into_iter().enumerate() {
-            evals += r.distance_evals;
-            nearest = nearest.min(r.nearest);
-            merged.extend(r.neighbors.into_iter().map(|n| Neighbor {
-                id: self.global_id(s, n.id),
-                ..n
-            }));
-        }
-        merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
-        merged.truncate(k.max(1));
-        let result = SearchResult {
-            neighbors: merged,
-            nearest,
-            distance_evals: evals,
+    /// advance too).
+    fn merge_shard_results(&self, mut per_shard: Vec<SearchResult>, k: usize) -> SearchResult {
+        let result = if per_shard.len() == 1 {
+            per_shard.pop().expect("one shard result")
+        } else {
+            let mut merged: Vec<Neighbor> = Vec::with_capacity(k * 2);
+            let mut nearest = f32::INFINITY;
+            let mut evals = 0u64;
+            for (s, r) in per_shard.into_iter().enumerate() {
+                evals += r.distance_evals;
+                nearest = nearest.min(r.nearest);
+                merged.extend(r.neighbors.into_iter().map(|n| Neighbor {
+                    id: self.global_id(s, n.id),
+                    ..n
+                }));
+            }
+            merged.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.id.cmp(&b.id)));
+            merged.truncate(k.max(1));
+            SearchResult {
+                neighbors: merged,
+                nearest,
+                distance_evals: evals,
+            }
         };
         crate::record_backend_search!("sharded", result);
         result
@@ -1023,106 +1029,75 @@ impl ShardedStore {
     /// at a time. The ordered-commit merge makes the result
     /// bit-identical to [`VectorIndex::search`] at every worker count.
     pub fn search_concurrent(&self, query: &[f32], k: usize, workers: usize) -> SearchResult {
-        if self.shards.len() == 1 {
-            let result = self.read_shard(0).index.0.as_dyn().search(query, k);
-            crate::record_backend_search!("sharded", result);
-            return result;
-        }
-        let workers = resolve_workers(workers);
-        let shard_ids: Vec<usize> = (0..self.shards.len()).collect();
-        let per_shard = {
-            let _fanout = tlsfp_telemetry::stage_timer!("fanout");
-            map_elems(&shard_ids, workers, |&s| {
-                let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
-                self.read_shard(s).index.0.as_dyn().search(query, k)
-            })
-        };
-        let _merge = tlsfp_telemetry::stage_timer!("merge");
-        self.merge_shard_results(per_shard, k)
+        self.fan_out(std::slice::from_ref(&query), k, workers)
+            .pop()
+            .expect("one result per query")
     }
 
-    /// The batch front door: the batch is split into contiguous
-    /// query-blocks ([`ShardedStore::query_block`]; `0` = auto) and
-    /// every *(shard, block)* pair becomes one worker task fanned out
-    /// across `workers` threads (`0` = all cores). Each worker
-    /// read-locks its shard, runs its block through the backend's
-    /// blocked scan ([`VectorIndex::search_block`] — each row tile
-    /// loaded once per block), and releases; per-shard results then
-    /// merge under the ordered-commit rule. Results are bit-identical
-    /// to calling [`VectorIndex::search`] per query, at every worker
-    /// count and every block size.
-    ///
-    /// With one shard the blocks go straight through the inner
-    /// backend's [`VectorIndex::search_batch_blocked`] (no merge
-    /// needed), preserving the inner result bit-for-bit — heap order
-    /// included.
+    /// The batch front door: the (shard × query chunk) fan-out across
+    /// `workers` threads (`0` = all cores; see the [module
+    /// docs](crate::sharded)). Results are bit-identical to calling
+    /// [`VectorIndex::search`] per query, at every worker count.
     pub fn search_batch_concurrent(
         &self,
         queries: &[Vec<f32>],
         k: usize,
         workers: usize,
     ) -> Vec<SearchResult> {
-        self.batch_concurrent_with(queries, k, workers, self.query_block)
+        self.fan_out(queries, k, workers)
     }
 
-    /// The (shard × query-block) fan-out behind every batch path; see
-    /// [`ShardedStore::search_batch_concurrent`].
-    fn batch_concurrent_with(
+    /// The one query path. The batch is cut into contiguous chunks of
+    /// `⌈batch / workers⌉` queries, and every *(shard, chunk)* pair is
+    /// one task: read-lock the shard, run the backend's
+    /// [`VectorIndex::search`] once per query of the chunk, release.
+    /// Per-shard results then merge per query under the ordered-commit
+    /// rule.
+    fn fan_out<Q: AsRef<[f32]> + Sync>(
         &self,
-        queries: &[Vec<f32>],
+        queries: &[Q],
         k: usize,
         workers: usize,
-        query_block: usize,
     ) -> Vec<SearchResult> {
         if queries.is_empty() {
             return Vec::new();
         }
-        let workers = resolve_workers(workers);
-        if self.shards.len() == 1 {
-            let results = {
-                let shard = self.read_shard(0);
-                shard
-                    .index
-                    .0
-                    .as_dyn()
-                    .search_batch_blocked(queries, k, workers, query_block)
-            };
-            for result in &results {
-                crate::record_backend_search!("sharded", result);
-            }
-            return results;
-        }
+        let workers = crate::resolve_workers(workers);
         let n_shards = self.shards.len();
-        let qb = crate::kernels::resolve_query_block(query_block, queries.len(), workers);
-        let n_blocks = queries.len().div_ceil(qb);
+        let chunk = queries.len().div_ceil(workers);
+        let n_chunks = queries.len().div_ceil(chunk);
         let tasks: Vec<(usize, usize)> = (0..n_shards)
-            .flat_map(|s| (0..n_blocks).map(move |b| (s, b)))
+            .flat_map(|s| (0..n_chunks).map(move |c| (s, c)))
             .collect();
         let per_task: Vec<Vec<SearchResult>> = {
             let _fanout = tlsfp_telemetry::stage_timer!("fanout");
-            map_elems(&tasks, workers, |&(s, b)| {
+            map_elems(&tasks, workers, |&(s, c)| {
                 let _scan = tlsfp_telemetry::stage_timer!("shard_scan");
-                let block = &queries[b * qb..((b + 1) * qb).min(queries.len())];
-                self.read_shard(s).index.0.as_dyn().search_block(block, k)
+                let shard = self.read_shard(s);
+                let index = shard.index.0.as_dyn();
+                queries[c * chunk..((c + 1) * chunk).min(queries.len())]
+                    .iter()
+                    .map(|q| index.search(q.as_ref(), k))
+                    .collect()
             })
         };
-        // Ordered commit: `per_task` is (shard-major, then block-major)
+        // Ordered commit: `per_task` is (shard-major, then chunk-major)
         // by construction (map_elems preserves input order), so pulling
-        // query `qi`'s result from task `s * n_blocks + qi / qb`
+        // query `qi`'s result from task `s * n_chunks + qi / chunk`
         // consumes shard results in shard order no matter which worker
         // produced them, or when. Queries are consumed in ascending
         // order, so each task's iterator advances exactly in step.
         let _merge = tlsfp_telemetry::stage_timer!("merge");
         let mut cursors: Vec<std::vec::IntoIter<SearchResult>> =
-            per_task.into_iter().map(|v| v.into_iter()).collect();
+            per_task.into_iter().map(Vec::into_iter).collect();
         (0..queries.len())
             .map(|qi| {
-                let b = qi / qb;
+                let c = qi / chunk;
                 let per_shard: Vec<SearchResult> = (0..n_shards)
                     .map(|s| {
-                        cursors[s * n_blocks + b]
+                        cursors[s * n_chunks + c]
                             .next()
-                            .expect("one result per query per (shard, block) task")
+                            .expect("one result per query per (shard, chunk) task")
                     })
                     .collect();
                 self.merge_shard_results(per_shard, k)
@@ -1144,43 +1119,18 @@ impl VectorIndex for ShardedStore {
         ShardedStore::metric(self)
     }
 
-    /// Fans the query out across every shard (read-locking one at a
-    /// time) and merges the per-shard top-k under the fixed
-    /// `(distance, id)` tie-break. With one shard the inner result is
-    /// returned untouched (bit-identical to the unsharded backend,
-    /// neighbor order included); with more, the merged neighbors come
-    /// back sorted ascending by `(dist, id)`.
+    /// The fan-out at one worker: every shard searched in shard order
+    /// and merged under the fixed `(distance, id)` tie-break. With one
+    /// shard the inner result is returned untouched (bit-identical to
+    /// the unsharded backend, neighbor order included); with more, the
+    /// merged neighbors come back sorted ascending by `(dist, id)`.
     fn search(&self, query: &[f32], k: usize) -> SearchResult {
-        if self.shards.len() == 1 {
-            let result = self.read_shard(0).index.0.as_dyn().search(query, k);
-            crate::record_backend_search!("sharded", result);
-            return result;
-        }
-        let per_shard: Vec<SearchResult> = (0..self.shards.len())
-            .map(|s| self.read_shard(s).index.0.as_dyn().search(query, k))
-            .collect();
-        self.merge_shard_results(per_shard, k)
+        self.search_concurrent(query, k, 1)
     }
 
-    /// Routes to the (shard × query-block) fan-out with an explicit
-    /// block size, overriding the store's [`ShardedStore::query_block`]
-    /// knob for this call.
-    fn search_batch_blocked(
-        &self,
-        queries: &[Vec<f32>],
-        k: usize,
-        threads: usize,
-        query_block: usize,
-    ) -> Vec<SearchResult> {
-        self.batch_concurrent_with(queries, k, threads, query_block)
-    }
-
-    /// Routes to [`ShardedStore::search_batch_concurrent`]: the whole
-    /// serving path gets (shard × query-block) concurrent fan-out, at
-    /// the store's configured block size, through the trait it already
-    /// calls.
+    /// The (shard × query chunk) fan-out at `threads` workers.
     fn search_batch(&self, queries: &[Vec<f32>], k: usize, threads: usize) -> Vec<SearchResult> {
-        self.search_batch_concurrent(queries, k, threads)
+        self.fan_out(queries, k, threads)
     }
 
     fn add(&mut self, label: usize, vector: &[f32]) {
@@ -1450,6 +1400,78 @@ mod tests {
         assert_eq!(back, store);
         let q = vec![50.0f32; 3];
         assert_eq!(back.search(&q, 3), store.search(&q, 3));
+
+        // A snapshot written while the store still carried retired
+        // knobs loads and serves identically.
+        let legacy = json.replacen('{', r#"{"query_block":7,"telemetry":false,"#, 1);
+        let old: ShardedStore = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(old, store);
+        assert_eq!(old.search(&q, 3), store.search(&q, 3));
+    }
+
+    /// The mutable entry `key` of a JSON object.
+    fn entry<'a>(v: &'a mut serde::json::Value, key: &str) -> &'a mut serde::json::Value {
+        match v {
+            serde::json::Value::Object(pairs) => {
+                &mut pairs.iter_mut().find(|(k, _)| k == key).expect("key").1
+            }
+            other => panic!("not an object: {other:?}"),
+        }
+    }
+
+    /// The mutable elements of a JSON array.
+    fn items(v: &mut serde::json::Value) -> &mut Vec<serde::json::Value> {
+        match v {
+            serde::json::Value::Array(items) => items,
+            other => panic!("not an array: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deserialize_rejects_inconsistent_snapshots() {
+        use serde::json::Value;
+        // Four classes over two shards: shard 0 holds classes 0 and 2.
+        let (data, labels) = clustered(4, 2, 2);
+        let store = ShardedStore::build(
+            &IndexConfig::Flat,
+            Metric::Euclidean,
+            Rows::new(2, &data),
+            &labels,
+            4,
+            2,
+        );
+        let good = store.to_value();
+        assert_eq!(ShardedStore::from_value(&good).unwrap(), store);
+        type Corruption = fn(&mut Value);
+        let corruptions: [(&str, Corruption); 6] = [
+            ("no shards", |v| items(entry(v, "shards")).clear()),
+            ("row floats short of labels × dim", |v| {
+                let shard = &mut items(entry(v, "shards"))[0];
+                items(entry(shard, "data")).pop();
+            }),
+            ("label routed to the wrong shard", |v| {
+                let shard = &mut items(entry(v, "shards"))[0];
+                items(entry(shard, "labels"))[0] = Value::Int(1);
+            }),
+            ("label outside the label space", |v| {
+                let shard = &mut items(entry(v, "shards"))[0];
+                items(entry(shard, "labels"))[0] = Value::Int(4);
+            }),
+            ("index shorter than the shard's rows", |v| {
+                let shard = &mut items(entry(v, "shards"))[0];
+                items(entry(shard, "labels")).push(Value::Int(0));
+                items(entry(shard, "data")).extend([Value::Float(0.5), Value::Float(0.5)]);
+            }),
+            ("index at another dimension", |v| {
+                let shard = &mut items(entry(v, "shards"))[0];
+                *entry(entry(entry(shard, "index"), "Flat"), "dim") = Value::Int(3);
+            }),
+        ];
+        for (what, corrupt) in corruptions {
+            let mut v = good.clone();
+            corrupt(&mut v);
+            assert!(ShardedStore::from_value(&v).is_err(), "accepted: {what}");
+        }
     }
 
     #[test]
